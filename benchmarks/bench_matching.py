@@ -13,10 +13,12 @@ Two ways to run:
       PYTHONPATH=src python benchmarks/bench_matching.py --json-out
       PYTHONPATH=src python benchmarks/bench_matching.py --quick --json-out
 
-  Writes ``BENCH_matching.json`` with ops/sec per kernel per size, the
-  legacy-vs-new MaxCard simulation throughput at n≈2000 flows, and the
-  cold-vs-warm BFS phase counts on a churn-heavy instance (asserted:
-  warm must do strictly fewer phases).
+  Writes ``BENCH_matching.json`` with ops/sec per kernel per size
+  (including the max-weight kernel behind MinRTime/MaxWeight), the
+  legacy-vs-new MaxCard simulation throughput at n≈2000 flows, solo
+  MinRTime and MaxWeight simulation times, and the cold-vs-warm BFS
+  phase counts on a churn-heavy instance (asserted: warm must do
+  strictly fewer phases).
 
 * Under pytest-benchmark (interactive profiling)::
 
@@ -42,7 +44,8 @@ from repro.core.schedule import Schedule
 from repro.matching.bipartite import BipartiteMultigraph
 from repro.matching.edge_coloring import edge_color_bipartite
 from repro.matching.hopcroft_karp import max_cardinality_matching
-from repro.online.policies import MaxCardPolicy
+from repro.matching.weight_matching import max_weight_matching_arrays
+from repro.online.policies import MaxCardPolicy, make_policy
 from repro.online.simulator import simulate
 from repro.workloads.synthetic import (
     churn_heavy_workload,
@@ -247,6 +250,15 @@ def _random_graph(m, n_edges, seed=0):
     return g
 
 
+def _weighted_pairs(m, n_edges, seed=0):
+    """Distinct random port pairs with integer weights, the shape of the
+    simulator's per-round pair view for MinRTime/MaxWeight."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(m * m, size=n_edges, replace=False)
+    weights = rng.integers(1, 40, size=n_edges).astype(float)
+    return cells // m, cells % m, weights
+
+
 def _best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -254,6 +266,12 @@ def _best_of(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _best_per_call(fn, calls, repeats):
+    """Best-of-``repeats`` seconds per call over ``calls`` back-to-back
+    calls, for kernels too fast to time one call at a time."""
+    return _best_of(lambda: [fn() for _ in range(calls)], repeats) / calls
 
 
 def run_benchmarks(quick=False):
@@ -279,6 +297,17 @@ def run_benchmarks(quick=False):
         record(
             "hopcroft_karp_legacy", size,
             _best_of(lambda: legacy_hopcroft_karp(m, m, edges), repeats),
+        )
+
+    # --- Max-weight matching (one MinRTime/MaxWeight round) -------------
+    for m, n_edges, calls in [(12, 60, 200), (150, 2400, 5)]:
+        us, vs, w = _weighted_pairs(m, n_edges, seed=4)
+        record(
+            "max_weight", f"{m}x{m}/{n_edges}e",
+            _best_per_call(
+                lambda: max_weight_matching_arrays(m, m, us, vs, w),
+                calls, repeats,
+            ),
         )
 
     # --- König edge coloring vs the legacy O(Δ)-scan kernel -------------
@@ -315,6 +344,14 @@ def run_benchmarks(quick=False):
     }
     record("maxcard_simulation_n2000", "legacy", legacy_s)
     record("maxcard_simulation_n2000", "new", new_s)
+
+    # --- Solo MinRTime / MaxWeight simulations (unit capacity) ----------
+    inst = poisson_uniform_workload(24, 24, 40, seed=5)
+    for name in ("MinRTime", "MaxWeight"):
+        record(
+            "weight_simulation_24p_load1_T40", name,
+            _best_of(lambda: simulate(inst, make_policy(name)), repeats),
+        )
 
     # --- Warm start: fewer BFS phases on a churn-heavy instance ---------
     churn = churn_heavy_workload(gadgets=4, copies=10 if quick else 40)
@@ -419,6 +456,20 @@ if pytest is not None:
         g = _random_graph(m, edges, seed=2)
         benchmark(lambda: legacy_edge_color(g))
         record_ops(benchmark, "edge_coloring_legacy", f"{m}x{m}/{edges}e")
+
+    @pytest.mark.parametrize("m,edges", [(12, 60), (150, 2400)])
+    def test_bench_max_weight(benchmark, record_ops, m, edges):
+        us, vs, w = _weighted_pairs(m, edges, seed=4)
+        benchmark(lambda: max_weight_matching_arrays(m, m, us, vs, w))
+        record_ops(benchmark, "max_weight", f"{m}x{m}/{edges}e")
+
+    @pytest.mark.parametrize("name", ["MinRTime", "MaxWeight"])
+    def test_bench_weight_simulation(benchmark, record_ops, name):
+        inst = poisson_uniform_workload(24, 24, 40, seed=5)
+        benchmark.pedantic(
+            lambda: simulate(inst, make_policy(name)), rounds=3, iterations=1
+        )
+        record_ops(benchmark, "weight_simulation_24p_load1_T40", name)
 
     def test_bench_maxcard_simulation_new(benchmark, record_ops):
         inst = poisson_uniform_workload(16, 100, 20, seed=3)

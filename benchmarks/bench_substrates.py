@@ -1,8 +1,9 @@
 """Substrate ablations — matching, edge coloring, and LP backends.
 
 The paper used LEMON (C++) and Gurobi; these benches document what our
-from-scratch replacements cost at simulation scale (150x150 waiting
-graphs, scheduling LPs) so users can judge the paper-scale runtime.
+replacements (from scratch, or on scipy's solvers) cost at simulation
+scale (150x150 waiting graphs, scheduling LPs) so users can judge the
+paper-scale runtime.
 
 Run:  pytest benchmarks/bench_substrates.py --benchmark-only -s
 """
@@ -40,7 +41,7 @@ def test_bench_hopcroft_karp(benchmark, m, edges):
 
 @pytest.mark.parametrize("m,edges", [(150, 600)])
 def test_bench_max_weight_matching(benchmark, m, edges):
-    """MinRTime/MaxWeight per-round cost (dense Hungarian)."""
+    """MinRTime/MaxWeight per-round cost (scipy's assignment solver)."""
     rng = np.random.default_rng(1)
     pairs = [
         (int(rng.integers(0, m)), int(rng.integers(0, m)))

@@ -275,9 +275,10 @@ def check_suite(
     A candidate regression must survive up to :data:`CHECK_RETRIES`
     fresh runs — the per-ratio minimum across runs is what is compared,
     so scheduling noise in millisecond-scale measurements cannot fail
-    the gate.  Returns ``(regressions, compared)`` where each regression
-    is ``(json_path, committed_ratio, fresh_ratio)`` with the fresh
-    ratio more than ``threshold`` above the committed one.
+    the gate.  Returns ``(regressions, compared, missing)``: each
+    regression is ``(json_path, committed_ratio, fresh_ratio)`` with the
+    fresh ratio more than ``threshold`` above the committed one;
+    ``missing`` lists committed ratios that no fresh run produced.
     """
     committed = json.loads(committed_path.read_text(encoding="utf-8"))
     old = collect_ratios(committed.get("results", {}))
@@ -312,7 +313,8 @@ def check_suite(
                 f"{len(regressions)} candidate regression(s); rerunning "
                 "to confirm"
             )
-    return regressions, len(shared)
+    missing = sorted(set(old) - set(best))
+    return regressions, len(shared), missing
 
 
 def run_check(suites: Dict[str, Path], out_dir: Path) -> int:
@@ -322,7 +324,8 @@ def run_check(suites: Dict[str, Path], out_dir: Path) -> int:
     skipped with a note (a brand-new suite must not fail the gate before
     its first snapshot lands); with no committed snapshot at all there
     is nothing to guard and that *is* an error.  Exit status 1 on any
-    ``*_vs_baseline`` regression beyond :data:`REGRESSION_THRESHOLD`.
+    ``*_vs_baseline`` regression beyond :data:`REGRESSION_THRESHOLD`
+    and on any committed ratio missing from the fresh run.
     """
     to_check = {
         name: (path, out_dir / f"BENCH_{name}.json")
@@ -346,21 +349,23 @@ def run_check(suites: Dict[str, Path], out_dir: Path) -> int:
     for name, (path, committed_path) in to_check.items():
         print(f"\n=== check {name} ({committed_path.name}) ===")
         try:
-            regressions, compared = check_suite(
+            regressions, compared, missing = check_suite(
                 name, path, committed_path, baseline_seconds
             )
         except RuntimeError as exc:
             raise SystemExit(f"error: {exc}")
-        if regressions:
-            failed = True
-            for ratio_path, before, after in regressions:
-                print(
-                    f"REGRESSION {ratio_path}: {before:.4f} -> {after:.4f} "
-                    f"(+{(after / before - 1) * 100:.0f}%, limit "
-                    f"+{REGRESSION_THRESHOLD * 100:.0f}%)"
-                )
+        failed = failed or bool(regressions or missing)
+        for ratio_path, before, after in regressions:
+            print(
+                f"REGRESSION {ratio_path}: {before:.4f} -> {after:.4f} "
+                f"(+{(after / before - 1) * 100:.0f}%, limit "
+                f"+{REGRESSION_THRESHOLD * 100:.0f}%)"
+            )
+        for ratio_path in missing:
+            print(f"MISSING {ratio_path}: committed, absent from fresh run")
         print(
-            f"{compared} ratio(s) compared, {len(regressions)} regression(s)"
+            f"{compared} ratio(s) compared, {len(regressions)} "
+            f"regression(s), {len(missing)} missing"
         )
     if failed:
         print("\nbench check FAILED — see regressions above")

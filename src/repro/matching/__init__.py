@@ -1,7 +1,7 @@
 """Bipartite graph algorithms (the paper used the LEMON C++ library).
 
 Everything the scheduling algorithms need from graph theory, implemented
-from scratch:
+from scratch apart from the max-weight assignment kernel:
 
 * :mod:`repro.matching.bipartite` — bipartite (multi)graph container;
 * :mod:`repro.matching.hopcroft_karp` — maximum-cardinality matching
@@ -10,8 +10,8 @@ from scratch:
   over stacked block-diagonal graphs (used by the trial-batched online
   engine);
 * :mod:`repro.matching.weight_matching` — maximum-weight bipartite
-  matching via shortest augmenting paths with potentials (used by the
-  MinRTime and MaxWeight heuristics);
+  matching on scipy's C assignment solver (used by the MinRTime and
+  MaxWeight heuristics);
 * :mod:`repro.matching.edge_coloring` — König Δ-edge-coloring of bipartite
   multigraphs (the constructive Birkhoff–von Neumann step of Theorem 1);
 * :mod:`repro.matching.bvn` — Birkhoff–von-Neumann-style decomposition of
@@ -27,7 +27,10 @@ from repro.matching.hopcroft_karp import (
     max_cardinality_matching_arrays,
 )
 from repro.matching.batch_hk import max_cardinality_matching_batch
-from repro.matching.weight_matching import max_weight_matching
+from repro.matching.weight_matching import (
+    max_weight_matching,
+    max_weight_matching_arrays,
+)
 from repro.matching.edge_coloring import edge_color_bipartite
 from repro.matching.bvn import decompose_into_matchings
 from repro.matching.b_matching import replicate_ports, project_coloring
@@ -48,6 +51,7 @@ __all__ = [
     "max_cardinality_matching_arrays",
     "max_cardinality_matching_batch",
     "max_weight_matching",
+    "max_weight_matching_arrays",
     "edge_color_bipartite",
     "decompose_into_matchings",
     "replicate_ports",

@@ -4,99 +4,97 @@ The paper's **MinRTime** and **MaxWeight** heuristics both extract a
 maximum-weight matching from the waiting graph each round, with different
 edge weights (flow age, and endpoint queue sizes, respectively).
 
-Algorithm: the classical ``O(n^2 m)`` Hungarian method for the rectangular
-assignment problem, with the row-scan inner loop vectorized in NumPy
-(following the HPC guideline of pushing hot loops into array operations).
-Maximum-weight *matching* reduces to assignment by treating absent edges
-as weight 0 and discarding zero-weight pairs afterwards: with nonnegative
-weights, leaving a vertex unmatched and matching it through a weight-0
-"phantom" edge are equivalent.
+With nonnegative weights, maximum-weight matching is the rectangular
+assignment problem on the dense weight matrix (absent edges weigh 0)
+with zero-weight pairs dropped afterwards.  scipy's C solver
+(``linear_sum_assignment(..., maximize=True)``) solves it; a 150x150
+call takes under a millisecond.
 
-For the paper's 150x150 waiting graphs a call takes single-digit
-milliseconds.
+Tie rule: among maximum-weight matchings, the one scipy picks on the
+``(n_left, n_right)`` matrix (rows are left vertices), after parallel
+edges collapse to their heaviest copy, ties to the lowest edge id.
+``tests/test_golden_selections.py`` pins the resulting MinRTime and
+MaxWeight selections, so a change of tie choice fails loudly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-_INF = np.inf
 
-
-def solve_dense_assignment(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost rectangular assignment (rows <= cols all assigned).
+def max_weight_matching_arrays(
+    n_left: int,
+    n_right: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Maximum-weight matching over bare endpoint arrays.
 
     Parameters
     ----------
-    cost:
-        ``(n, m)`` float array with ``n <= m``; every row is assigned to a
-        distinct column minimizing total cost.
+    n_left / n_right:
+        Vertex counts.
+    us / vs:
+        Endpoints of edge ``i`` are ``(us[i], vs[i])``; parallel edges
+        are allowed (only the heaviest copy, ties to the lowest id, can
+        be returned).
+    weights:
+        Nonnegative weight per edge.
 
     Returns
     -------
     ndarray
-        ``col_of_row`` of shape ``(n,)``.
-
-    Notes
-    -----
-    This is the potentials formulation of the Hungarian algorithm (often
-    attributed to e-maxx): one Dijkstra-like scan per row, potentials keep
-    reduced costs nonnegative.  1-indexed sentinel column 0 tracks the
-    currently inserted row.
+        Matched edge ids (``int64``) in ascending order of their left
+        vertex; only edges of strictly positive weight are returned.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    n, m = cost.shape
-    if n > m:
-        raise ValueError(f"need n <= m, got shape {cost.shape}")
-    # Potentials u (rows, 1-indexed by row+1) and v (cols, with sentinel 0).
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=np.int64)  # p[j] = row matched to column j (0 = none)
-    way = np.zeros(m + 1, dtype=np.int64)
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    n_edges = len(w)
+    if len(us) != n_edges or len(vs) != n_edges:
+        raise ValueError("edges and weights must have equal length")
+    if n_left == 0 or n_right == 0 or n_edges == 0:
+        return np.empty(0, dtype=np.int64)
+    # Negative vertex ids wrap to huge unsigned values, so one
+    # comparison per side catches both ends of the range.
+    negative = w < 0
+    bad = (
+        negative
+        | (us.view(np.uint64) >= n_left)
+        | (vs.view(np.uint64) >= n_right)
+    )
+    if bad.any():
+        i = int(np.argmax(bad))  # report the first bad edge
+        if negative[i]:
+            raise ValueError(f"weights must be nonnegative, got {w[i]}")
+        raise ValueError(f"edge ({us[i]}, {vs[i]}) out of range")
 
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, _INF)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            # Vectorized relaxation over all unused columns.
-            free = ~used
-            free[0] = False
-            cols = np.flatnonzero(free)
-            if cols.size:
-                cur = cost[i0 - 1, cols - 1] - u[i0] - v[cols]
-                better = cur < minv[cols]
-                upd = cols[better]
-                minv[upd] = cur[better]
-                way[upd] = j0
-                j1 = cols[np.argmin(minv[cols])]
-                delta = minv[j1]
-            else:  # pragma: no cover - cannot happen while p[j0] != 0
-                break
-            # Update potentials.
-            used_idx = np.flatnonzero(used)
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[cols] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        # Augment along the alternating tree.
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+    # Dense (n_left, n_right) matrices over flat cells.
+    cell = us * n_right + vs
+    eids = np.arange(n_edges)
+    eid_flat = np.full(n_left * n_right, -1, dtype=np.int64)
+    eid_flat[cell] = eids
+    if not (eid_flat[cell] == eids).all():
+        # Parallel edges: keep the heaviest copy, ties to the lowest id
+        # (lexsort is stable).
+        order = np.lexsort((-w, cell))
+        first = np.ones(n_edges, dtype=bool)
+        first[1:] = cell[order[1:]] != cell[order[:-1]]
+        eids = order[first]
+        cell, w = cell[eids], w[eids]
+        eid_flat[cell] = eids
+    weight_flat = np.zeros(n_left * n_right)
+    weight_flat[cell] = w
 
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    for j in range(1, m + 1):
-        if p[j] != 0:
-            col_of_row[p[j] - 1] = j - 1
-    return col_of_row
+    rows, cols = linear_sum_assignment(
+        weight_flat.reshape(n_left, n_right), maximize=True
+    )
+    matched = rows * n_right + cols
+    return eid_flat[matched[weight_flat[matched] > 0]]
 
 
 def max_weight_matching(
@@ -121,39 +119,16 @@ def max_weight_matching(
     -------
     dict
         ``{left_vertex: edge_index}`` for every matched left vertex whose
-        matched edge has strictly positive weight.
+        matched edge has strictly positive weight; the same selection as
+        :func:`max_weight_matching_arrays`.
     """
     if len(edges) != len(weights):
         raise ValueError("edges and weights must have equal length")
-    if n_left == 0 or n_right == 0 or not edges:
-        return {}
-
-    # Dense weight matrix; keep the *heaviest* parallel edge and its id.
-    weight_mat = np.zeros((n_left, n_right))
-    eid_mat = np.full((n_left, n_right), -1, dtype=np.int64)
-    for eid, (u, v) in enumerate(edges):
-        w = float(weights[eid])
-        if w < 0:
-            raise ValueError(f"weights must be nonnegative, got {w}")
-        if not 0 <= u < n_left or not 0 <= v < n_right:
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        if eid_mat[u, v] == -1 or w > weight_mat[u, v]:
-            weight_mat[u, v] = w
-            eid_mat[u, v] = eid
-
-    transposed = n_left > n_right
-    mat = weight_mat.T if transposed else weight_mat
-    # Maximize weight == minimize negated weight.
-    assignment = solve_dense_assignment(-mat)
-
-    result: Dict[int, int] = {}
-    for row, col in enumerate(assignment):
-        if col < 0:
-            continue
-        u, v = (col, row) if transposed else (row, int(col))
-        if weight_mat[u, v] > 0:
-            result[u] = int(eid_mat[u, v])
-    return result
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    matched = max_weight_matching_arrays(
+        n_left, n_right, ends[:, 0], ends[:, 1], weights
+    )
+    return dict(zip(ends[matched, 0].tolist(), matched.tolist()))
 
 
 def matching_weight(

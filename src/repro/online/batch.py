@@ -23,12 +23,14 @@ executes a cell as **one** merged simulation via virtual-port stacking:
 
 Batched fast paths exist for FIFO, Random, MaxCard (cold or warm start,
 uniform across the batch) and the co-flow SEBF/CoflowFIFO orderings on
-any switch, plus MinRTime/MaxWeight on non-unit switches (their unit
-path is a per-trial Hungarian solve whose merged tie-breaking is not
-guaranteed to project per trial, so it stays on the fallback).  Every
-other policy — and any subclass, mixed-policy batch, or
-mismatched-switch cell — falls back to per-trial :func:`simulate` calls
-with identical results.
+any switch, plus MinRTime/MaxWeight on non-unit switches.  Their unit
+path is a per-trial max-weight assignment (scipy's
+``linear_sum_assignment``, see :mod:`repro.matching.weight_matching`)
+whose tie choice on a merged matrix is not guaranteed to project per
+trial, so it stays on the fallback; ``tests/test_golden_selections.py``
+pins the per-trial choice.  Every other policy — and any subclass,
+mixed-policy batch, or mismatched-switch cell — falls back to per-trial
+:func:`simulate` calls with identical results.
 
 When capacities bind (load >= 1, non-unit demands), selection goes
 through :func:`_vectorized_capacitated_pack`: greedy residual-capacity
@@ -187,9 +189,10 @@ def batch_kernel_name(
     ``None`` means :func:`simulate_batch` will fall back to per-trial
     :func:`simulate` calls: unbatchable policy (no kernel, subclass,
     MaxCard with *mixed* warm-start flags, unit-capacity MinRTime/
-    MaxWeight), mixed policy types, mismatched switches, or a batch too
-    small to merge.  Exposed so tests and benchmarks can assert which
-    path a configuration takes.
+    MaxWeight, whose per-trial scipy assignment solves stay solo), mixed
+    policy types, mismatched switches, or a batch too small to merge.
+    Exposed so tests and benchmarks can assert which path a
+    configuration takes.
     """
     if len(instances) < 2 or len(instances) != len(policies):
         return None
@@ -209,8 +212,9 @@ def batch_kernel_name(
             return None
         return "maxcard"
     if cls is MinRTimePolicy:
-        # Unit capacity runs a per-trial Hungarian solve whose merged
-        # tie-breaking is not guaranteed to project per trial.
+        # Unit capacity runs a per-trial scipy assignment solve whose
+        # tie choice on a merged matrix is not guaranteed to project per
+        # trial.
         return None if switch.is_unit_capacity else "minrtime"
     if cls is MaxWeightPolicy:
         return None if switch.is_unit_capacity else "maxweight"

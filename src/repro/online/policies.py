@@ -52,7 +52,10 @@ from repro.matching.hopcroft_karp import (
     max_cardinality_matching,
     max_cardinality_matching_adjacency,
 )
-from repro.matching.weight_matching import max_weight_matching
+from repro.matching.weight_matching import (
+    max_weight_matching,
+    max_weight_matching_arrays,
+)
 
 
 class OnlinePolicy:
@@ -194,27 +197,26 @@ class OnlinePolicy:
         """Max-weight matching over the queue's incremental pair view.
 
         The pair representative (earliest-arrived copy) is exactly the
-        copy the seed's dense-matrix construction kept — the heaviest,
-        ties to the lowest edge id — because every built-in weight is
-        non-increasing in arrival time within a pair.  So the Hungarian
-        solve sees the same matrix and selects the same flows, at
-        O(#pairs) instead of O(queue) per round.
+        copy the dict path's dense-matrix construction keeps — the
+        heaviest, ties to the lowest edge id — because every built-in
+        weight is non-increasing in arrival time within a pair.  So
+        scipy's assignment solver (``linear_sum_assignment``) sees the
+        same matrix and selects the same flows, at O(#pairs) instead of
+        O(queue) per round.  Among tied maximum-weight matchings the
+        choice is scipy's on the ``(inputs, outputs)`` matrix, pinned by
+        ``tests/test_golden_selections.py``.
         """
         heads = queue.pair_heads()
         w = self._pair_weights(t, heads, queue, instance)
-        us = queue.srcs[heads]
-        vs = queue.dsts[heads]
         with self._measure("matching_solve"):
-            matching = max_weight_matching(
+            local = max_weight_matching_arrays(
                 instance.switch.num_inputs,
                 instance.switch.num_outputs,
-                list(zip(us.tolist(), vs.tolist())),
+                queue.srcs[heads],
+                queue.dsts[heads],
                 w,
             )
         self._bump("matching_solves")
-        if not matching:
-            return np.empty(0, dtype=np.int64)
-        local = np.fromiter(matching.values(), dtype=np.int64, count=len(matching))
         return heads[local]
 
     def _select_packing_fast(

@@ -799,6 +799,43 @@ class TestBenchCheck:
         assert (out_dir / "BENCH_toy.json").read_text() == committed
         assert not list(out_dir.glob(".bench-raw-*"))
 
+    def test_check_fails_on_ratio_missing_from_fresh_run(
+        self, tmp_path, capsys
+    ):
+        """A committed ratio the fresh run no longer emits must fail the
+        gate by name, not silently stop being compared."""
+        bench_dir = tmp_path / "benchmarks"
+        bench_dir.mkdir()
+        cells = tmp_path / "cells.txt"
+        cells.write_text("a,b")
+        (bench_dir / "bench_cells.py").write_text(
+            "import argparse, json\n"
+            "def main(argv=None):\n"
+            "    p = argparse.ArgumentParser()\n"
+            "    p.add_argument('--json-out')\n"
+            "    p.add_argument('--quick', action='store_true')\n"
+            "    a = p.parse_args(argv)\n"
+            f"    names = open({str(cells)!r}).read().split(',')\n"
+            "    payload = {n: {'seconds': 0.002} for n in names}\n"
+            "    json.dump(payload, open(a.json_out, 'w'))\n"
+            "    return 0\n"
+            "# --json-out\n"
+        )
+        out_dir = tmp_path / "out"
+        base = ["bench", "--bench-dir", str(bench_dir),
+                "--out-dir", str(out_dir)]
+        assert main(base) == 0
+        capsys.readouterr()
+        assert main(base + ["--check"]) == 0
+        assert "0 missing" in capsys.readouterr().out
+
+        cells.write_text("a")  # cell "b" vanishes from the fresh run
+        assert main(base + ["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "MISSING b.vs_baseline" in out
+        assert "1 ratio(s) compared, 0 regression(s), 1 missing" in out
+        assert "bench check FAILED" in out
+
     def test_check_skips_suite_without_snapshot(self, tmp_path, capsys):
         factor = tmp_path / "factor.txt"
         factor.write_text("1.0")

@@ -480,14 +480,21 @@ class TestAdmissionAndTimeouts:
         assert excinfo.value.code == "timeout"
         assert excinfo.value.status == 504
         # The job is still queued (the solve was not cancelled)...
-        queue = JobQueue(stalled.service.broker.cache_dir)
-        assert len(queue.pending_keys()) == 1
+        broker = stalled.service.broker
+        queue = JobQueue(broker.cache_dir)
+        (key,) = queue.pending_keys()
         # ...so a late-joining worker finishes it and the result serves.
         pool = WorkerPool(
-            stalled.service.broker.cache_dir, 1, mode="thread",
-            poll_interval=0.005,
+            broker.cache_dir, 1, mode="thread", poll_interval=0.005,
         )
         with pool:
+            # Re-submit only once the broker has settled the finished
+            # job; while the key is still in flight the request would
+            # coalesce onto it instead.
+            deadline = time.time() + 30
+            while key in broker.pending and time.time() < deadline:
+                time.sleep(0.005)
+            assert key not in broker.pending
             response = client.solve("Greedy", instance=inst, timeout=30)
         assert response.ok and response.source in ("cache", "solved")
 
